@@ -13,7 +13,7 @@
 use dbmine::context::AnalysisCtx;
 use dbmine::datagen::{synthetic, PlantedFd, SyntheticSpec};
 use dbmine::fdmine::{
-    mine_approximate_with, mine_tane, mine_tane_ctx, PartitionScratch, StrippedPartition,
+    mine_approximate_ctx, mine_tane, mine_tane_ctx, PartitionScratch, StrippedPartition,
     TaneOptions,
 };
 use dbmine::relation::{csv::write_relation_path, Relation, ShardedRelation};
@@ -352,7 +352,7 @@ fn main() {
         &mut results,
         &format!("approx_g3_0.05/synth6_{}", noisy.n_tuples()),
         samples,
-        || mine_approximate_with(&noisy, 0.05, Some(2), 1),
+        || mine_approximate_ctx(&AnalysisCtx::of(&noisy), 0.05, Some(2), 1),
     );
 
     // DBLP-style relation: key-like attributes (Title, Pages, unbucketed

@@ -22,6 +22,7 @@ use dbmine::relation::{Relation, ShardedRelation};
 use dbmine::render;
 use dbmine::telemetry;
 use dbmine::{context::AnalysisCtx, MinerConfig};
+use std::ops::RangeBounds;
 use std::process::exit;
 
 // Counting allocator for `--profile` runs: feature-independent, but only
@@ -138,14 +139,19 @@ impl Args {
             .map(|v| v.parse().unwrap_or_else(|_| bad_flag("score", v)))
             .unwrap_or_default()
     }
-    fn theta(&self) -> Option<f64> {
-        let theta = self.f64_flag("theta");
-        if let Some(t) = theta {
-            if !(0.0..=1.0).contains(&t) {
-                bad_flag("theta", &t.to_string());
-            }
+    /// A float flag that must lie in `range` (NaN never does).
+    fn f64_flag_in(&self, name: &str, range: impl RangeBounds<f64>) -> Option<f64> {
+        let value = self.f64_flag(name);
+        if value.is_some_and(|v| !range.contains(&v)) {
+            bad_flag(name, &self.flags[name]);
         }
-        theta
+        value
+    }
+    fn theta(&self) -> Option<f64> {
+        self.f64_flag_in("theta", 0.0..=1.0)
+    }
+    fn approx(&self) -> Option<f64> {
+        self.f64_flag_in("approx", 0.0..1.0)
     }
 }
 
@@ -353,7 +359,7 @@ fn main() {
             );
         }
         "fds" => {
-            let approx = args.f64_flag("approx");
+            let approx = args.approx();
             let score = args.score();
             if approx.is_some() && score == ScoreKind::Rfi {
                 eprintln!("error: --approx (g3 mining) cannot be combined with --score rfi");

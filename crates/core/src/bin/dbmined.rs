@@ -125,6 +125,11 @@ fn serve_tcp(daemon: &Arc<Daemon>, addr: &str) -> std::io::Result<()> {
             break;
         }
         let stream = conn?;
+        // Replies are single small writes; send each at once instead of
+        // holding it for the client's ACK of the previous one.
+        if let Err(e) = stream.set_nodelay(true) {
+            eprintln!("warning: cannot disable Nagle's algorithm: {e}");
+        }
         let daemon = Arc::clone(daemon);
         std::thread::spawn(move || {
             let reader = BufReader::new(match stream.try_clone() {

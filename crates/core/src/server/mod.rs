@@ -156,8 +156,12 @@ impl Daemon {
             if line.trim().is_empty() {
                 continue;
             }
-            let handled = self.handle_line(&line);
-            writeln!(output, "{}", handled.line)?;
+            // One write per reply: a reply split across two writes (line,
+            // then newline) leaves the newline stuck behind Nagle's
+            // algorithm on a TCP stream until the client's delayed ACK.
+            let mut handled = self.handle_line(&line);
+            handled.line.push('\n');
+            output.write_all(handled.line.as_bytes())?;
             output.flush()?;
             if handled.shutdown {
                 break;
@@ -412,10 +416,8 @@ impl Request {
             }
         }
         let approx = num_field("approx")?;
-        if let Some(e) = approx {
-            if e < 0.0 {
-                return Err("field `approx` must be ≥ 0".to_string());
-            }
+        if approx.is_some_and(|e| !(0.0..1.0).contains(&e)) {
+            return Err("field `approx` must be ≥ 0 and < 1".to_string());
         }
         let score = match v.get("score") {
             None => ScoreKind::default(),
@@ -848,6 +850,35 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         // ping, shutdown — the post-shutdown ping is never answered.
         assert_eq!(text.lines().count(), 2);
+    }
+
+    #[test]
+    fn serve_lines_sends_each_reply_in_one_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let d = Daemon::new(4);
+        let input = format!("{}\n{}\n", request("ping"), request("stats"));
+        let mut out = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        d.serve_lines(input.as_bytes(), &mut out).unwrap();
+        assert_eq!(out.writes, 2, "one write per reply");
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.ends_with('\n'));
     }
 
     #[test]

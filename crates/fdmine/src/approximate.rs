@@ -10,15 +10,12 @@
 //! [`mine_approximate`] runs a levelwise search emitting all minimal
 //! `X → A` with `g3(X → A) ≤ ε`. The rhs⁺ pruning of exact TANE is not
 //! sound under approximation, so minimality is enforced directly against
-//! the discovered set; key-based pruning remains sound (a superkey
-//! determines everything exactly).
+//! the discovered set, and no set is pruned from generation.
 
-use crate::fd::{normalize_fds, Fd};
-use crate::partitions::{PartitionScratch, StrippedPartition};
+use crate::fd::Fd;
+use crate::lattice::{FoundLhs, Lattice, Walker};
 use dbmine_context::AnalysisCtx;
-use dbmine_parallel::par_map_init;
-use dbmine_relation::{AttrSet, Relation};
-use fxhash::{FxHashMap, FxHashSet};
+use dbmine_relation::Relation;
 
 /// An approximate dependency with its `g3` error.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,32 +28,17 @@ pub struct ApproxFd {
 
 /// Mines all minimal dependencies with `g3` error at most `epsilon`
 /// (`epsilon = 0` reduces to exact mining). `max_lhs` bounds the LHS
-/// size (`None` = unbounded). Serial; see
-/// [`mine_approximate_with`] for the threaded variant.
+/// size (`None` = unbounded). Serial, over a transient context; see
+/// [`mine_approximate_ctx`] for the shared-context, threaded variant.
 pub fn mine_approximate(rel: &Relation, epsilon: f64, max_lhs: Option<usize>) -> Vec<ApproxFd> {
-    mine_approximate_with(rel, epsilon, max_lhs, 1)
+    mine_approximate_ctx(&AnalysisCtx::of(rel), epsilon, max_lhs, 1)
 }
 
-/// [`mine_approximate`] with an explicit worker-thread count (`1` =
-/// serial, `0` = all cores). The `g3` tests and the prefix-join
+/// As [`mine_approximate`], seeding level 1 from the context's memoized
+/// single-attribute partitions, with an explicit worker-thread count
+/// (`1` = serial, `0` = all cores). The `g3` tests and the prefix-join
 /// products fan out with deterministic chunking, so results are
 /// bit-identical for every thread count.
-///
-/// Builds a transient [`AnalysisCtx`]; callers analyzing the same
-/// relation more than once should hold a context and call
-/// [`mine_approximate_ctx`] so the single-attribute seed partitions are
-/// shared.
-pub fn mine_approximate_with(
-    rel: &Relation,
-    epsilon: f64,
-    max_lhs: Option<usize>,
-    threads: usize,
-) -> Vec<ApproxFd> {
-    mine_approximate_ctx(&AnalysisCtx::of(rel), epsilon, max_lhs, threads)
-}
-
-/// As [`mine_approximate_with`], seeding level 1 from the context's
-/// memoized single-attribute partitions instead of rebuilding them.
 pub fn mine_approximate_ctx(
     ctx: &AnalysisCtx,
     epsilon: f64,
@@ -64,166 +46,50 @@ pub fn mine_approximate_ctx(
     threads: usize,
 ) -> Vec<ApproxFd> {
     assert!((0.0..1.0).contains(&epsilon), "ε must be in [0,1)");
-    let m = ctx.n_attrs();
-    let mut found: Vec<ApproxFd> = Vec::new();
-    // Minimality: per RHS, the LHSs already emitted.
-    let mut found_lhs: Vec<Vec<AttrSet>> = vec![Vec::new(); m];
-
-    // Level 0/1 partitions.
-    let mut prev_parts: FxHashMap<u64, StrippedPartition> = std::iter::once((
-        AttrSet::EMPTY.bits(),
-        StrippedPartition::of_empty(ctx.n_tuples()),
-    ))
-    .collect();
-    let attr_parts: Vec<StrippedPartition> = ctx
-        .attr_partitions_with(threads)
-        .into_iter()
-        .cloned()
-        .collect();
-    let mut current: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-    let mut current_parts: FxHashMap<u64, StrippedPartition> = attr_parts
-        .into_iter()
-        .enumerate()
-        .map(|(a, p)| (AttrSet::single(a).bits(), p))
-        .collect();
-    let mut level = 1usize;
-
+    let lattice = Lattice::seed(ctx, threads);
+    let mut walker = Approximate {
+        epsilon,
+        found: Vec::new(),
+        found_lhs: FoundLhs::new(ctx.n_attrs()),
+    };
     let _span = dbmine_telemetry::span("fdmine.approximate");
-    while !current.is_empty() {
-        // The g3 tests of one level only read the level-start state
-        // (`found_lhs` entries added at this level have the same LHS
-        // size as the candidates under test, so they can never prune a
-        // same-level sibling — LHS/RHS pairs are unique per level).
-        // That makes the per-set loop embarrassingly parallel; the
-        // serial merge below replays emissions in set order, so output
-        // is identical for every thread count.
-        let tested: Vec<Vec<(Fd, f64)>> = par_map_init(
-            threads,
-            &current,
-            PartitionScratch::new,
-            |scratch, _, &x| {
-                let px = &current_parts[&x.bits()];
-                let mut results = Vec::new();
-                for a in x.iter() {
-                    let lhs = x.without(a);
-                    if found_lhs[a].iter().any(|&f| f.is_subset_of(lhs)) {
-                        continue; // a smaller LHS already works
-                    }
-                    let Some(p_lhs) = prev_parts.get(&lhs.bits()) else {
-                        continue;
-                    };
-                    let error = p_lhs.g3_error_with(px, scratch);
-                    if error <= epsilon {
-                        results.push((Fd::new(lhs, a), error));
-                    }
-                }
-                results
-            },
-        );
-        for per_set in tested {
-            for (fd, error) in per_set {
-                found.push(ApproxFd { fd, error });
-                found_lhs[fd.rhs].push(fd.lhs);
-            }
-        }
-        // Note: unlike exact TANE, a key X must NOT be pruned from
-        // candidate generation. The FD (X∪{b})\{a} → a (for a ∈ X) is
-        // only ever tested from the candidate X∪{b}; its LHS does not
-        // contain X, so it can still be minimal even though X is a key.
-        // Without the rhs⁺ machinery that makes TANE's key pruning
-        // complete, deleting X here silently loses those dependencies.
-        // Keys still cost nothing extra to emit: a key LHS has an empty
-        // stripped partition, so its g3 error is exactly 0.0 and its
-        // consequents surface through the normal test one level up.
-        if max_lhs.is_some_and(|max| level > max) {
-            break;
-        }
-
-        let survivor_bits: FxHashSet<u64> = current.iter().map(|s| s.bits()).collect();
-
-        // Prefix join: candidates enumerated serially (in set order),
-        // products computed in parallel with per-worker scratch.
-        let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut blocks: Vec<Vec<AttrSet>> = Vec::new();
-        for &s in &current {
-            let max_attr = s.iter().last().expect("non-empty");
-            let idx = *block_index
-                .entry(s.without(max_attr).bits())
-                .or_insert_with(|| {
-                    blocks.push(Vec::new());
-                    blocks.len() - 1
-                });
-            blocks[idx].push(s);
-        }
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
-        for group in &blocks {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let x = group[i].union(group[j]);
-                    if !x
-                        .iter()
-                        .all(|a| survivor_bits.contains(&x.without(a).bits()))
-                        || !seen.insert(x.bits())
-                    {
-                        continue;
-                    }
-                    candidates.push((x, group[i].bits(), group[j].bits()));
-                }
-            }
-        }
-        let products: Vec<StrippedPartition> = par_map_init(
-            threads,
-            &candidates,
-            PartitionScratch::new,
-            |scratch, _, &(_, left, right)| {
-                current_parts[&left].product_with(&current_parts[&right], scratch)
-            },
-        );
-        let mut next: Vec<AttrSet> = Vec::with_capacity(candidates.len());
-        let mut next_parts: FxHashMap<u64, StrippedPartition> =
-            FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
-        for (&(x, _, _), p) in candidates.iter().zip(products) {
-            next_parts.insert(x.bits(), p);
-            next.push(x);
-        }
-
-        prev_parts = current_parts;
-        current = next;
-        current_parts = next_parts;
-        level += 1;
-    }
-
-    // Final minimality sweep (a larger-LHS FD can be emitted before a
-    // smaller one at a later level? No — levels grow — but two
-    // incomparable LHSs are fine; dedup defensively anyway).
-    let mut out = found;
-    out.sort_by_key(|a| a.fd);
-    out.dedup_by(|a, b| a.fd == b.fd);
-    let keep: Vec<bool> = out
-        .iter()
-        .map(|f| {
-            !out.iter().any(|g| {
-                g.fd.rhs == f.fd.rhs && g.fd.lhs != f.fd.lhs && g.fd.lhs.is_subset_of(f.fd.lhs)
-            })
-        })
-        .collect();
-    out.into_iter()
-        .zip(keep)
-        .filter_map(|(f, k)| k.then_some(f))
-        .filter(|f| !f.fd.is_trivial())
-        .collect()
+    lattice.walk(max_lhs, &mut walker);
+    // Each (LHS, RHS) pair is tested once and LHSs never contain their
+    // RHS, so the emissions are already duplicate-free and non-trivial.
+    walker.found.sort_by_key(|f| f.fd);
+    walker.found
 }
 
-/// Convenience: the exact-FD subset of an approximate run (sanity tool).
-pub fn exact_subset(approx: &[ApproxFd]) -> Vec<Fd> {
-    normalize_fds(
-        approx
-            .iter()
-            .filter(|f| f.error.abs() < 1e-12)
-            .map(|f| f.fd)
-            .collect(),
-    )
+/// The approximate miner's part of the walk: the `g3 ≤ ε` test. Every
+/// set survives into generation.
+///
+/// Unlike exact TANE, a key X must NOT be pruned from candidate
+/// generation. The FD (X∪{b})∖{a} → a (for a ∈ X) is only ever
+/// tested from the candidate X∪{b}; its LHS does not contain X, so
+/// it can still be minimal even though X is a key. Without the rhs⁺
+/// machinery that makes TANE's key pruning complete, deleting X here
+/// silently loses those dependencies. Keys still cost nothing extra
+/// to emit: a key LHS has an empty stripped partition, so its g3
+/// error is exactly 0.0 and its consequents surface through the
+/// normal test one level up.
+struct Approximate {
+    epsilon: f64,
+    found: Vec<ApproxFd>,
+    found_lhs: FoundLhs,
+}
+
+impl Walker for Approximate {
+    fn visit(&mut self, lattice: &Lattice) {
+        let epsilon = self.epsilon;
+        let tested = lattice.test_candidates(&self.found_lhs, |scratch, fd, p_lhs, px| {
+            let error = p_lhs.g3_error_with(px, scratch);
+            (error <= epsilon).then_some(ApproxFd { fd, error })
+        });
+        for f in tested.into_iter().flatten() {
+            self.found_lhs.insert(f.fd);
+            self.found.push(f);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +98,7 @@ mod tests {
     use crate::brute::mine_brute;
     use crate::check::fd_error_g3;
     use dbmine_relation::paper::{figure4, figure5};
+    use dbmine_relation::AttrSet;
     use dbmine_relation::RelationBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -321,16 +188,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn exact_subset_extraction() {
-        let rel = figure5();
-        let approx = mine_approximate(&rel, 0.3, None);
-        let exact = exact_subset(&approx);
-        for f in &exact {
-            assert!(crate::check::fd_holds(&rel, f.lhs, f.rhs));
         }
     }
 

@@ -12,6 +12,9 @@
 //!   alternative, `[15]`), built on stripped partitions — the right tool
 //!   once relations reach tens of thousands of tuples, where FDEP's
 //!   quadratic pairwise scan is infeasible.
+//! * [`lattice`] — the levelwise lattice engine (seeding, prefix-join
+//!   generation, level shift) that TANE, the approximate miner and the
+//!   reliable miner of `dbmine-reliability` each drive as a walker.
 //! * [`cover`] — canonical/minimum covers in the style of Maier `[16]`:
 //!   attribute-set closures, left-reduction, redundancy elimination.
 //! * [`check`] — direct validity and `g3` approximation-error checks for
@@ -34,6 +37,7 @@ pub mod cover;
 pub mod fastfds;
 pub mod fd;
 pub mod fdep;
+pub mod lattice;
 pub mod mvd;
 pub mod tane;
 
@@ -42,9 +46,7 @@ pub mod tane;
 /// historical path for existing callers.
 pub use dbmine_relation::partition as partitions;
 
-pub use approximate::{
-    exact_subset, mine_approximate, mine_approximate_ctx, mine_approximate_with, ApproxFd,
-};
+pub use approximate::{mine_approximate, mine_approximate_ctx, ApproxFd};
 pub use check::{fd_error_g3, fd_holds, partition_of, partition_of_ctx};
 pub use cover::{closure, minimum_cover};
 pub use fastfds::mine_fastfds;

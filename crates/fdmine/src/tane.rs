@@ -8,27 +8,23 @@
 //!
 //! # Performance architecture
 //!
-//! The lattice walk is the FD-discovery hot path (see DESIGN.md):
-//!
-//! * every partition is created once and carried with its precomputed
-//!   TANE error, so validity tests are integer comparisons;
-//! * partition products run through a reusable [`PartitionScratch`]
-//!   (zero hashing, zero per-call allocation);
-//! * key pruning memoizes `partition_of_set` in a level-local cache, so
-//!   each subset partition is built once per level instead of once per
-//!   (subset, rhs) pair;
-//! * COMPUTE_DEPENDENCIES and GENERATE_NEXT_LEVEL fan out across
-//!   `dbmine_parallel` with deterministic chunking — results are
-//!   identical for every [`TaneOptions::threads`] value;
-//! * lattice maps are keyed by `u64` attribute-set bitmasks under
-//!   [`fxhash`] (SipHash setup dominates such maps otherwise).
+//! TANE is a [`Walker`] on the shared lattice engine ([`crate::lattice`],
+//! see DESIGN.md), which carries every partition with its precomputed
+//! TANE error — so validity tests are integer comparisons — and runs the
+//! partition products through per-worker [`PartitionScratch`]es. On top
+//! of it, TANE's COMPUTE_DEPENDENCIES step fans out across
+//! `dbmine_parallel` with deterministic chunking (results are identical
+//! for every [`TaneOptions::threads`] value), and key pruning memoizes
+//! subset partitions in a level-local cache, so each is built once per
+//! level instead of once per (subset, rhs) pair.
 
 use crate::fd::{normalize_fds, Fd};
-use crate::partitions::{PartitionScratch, StrippedPartition};
+use crate::lattice::{Lattice, Part, Walker};
+use crate::partitions::PartitionScratch;
 use dbmine_context::AnalysisCtx;
-use dbmine_parallel::{par_map, par_map_init};
+use dbmine_parallel::par_map;
 use dbmine_relation::{AttrSet, Relation};
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 
 /// Options for the TANE run.
 #[derive(Clone, Copy, Debug)]
@@ -51,28 +47,6 @@ impl Default for TaneOptions {
     }
 }
 
-/// A partition bundled with its precomputed TANE error `e(π)`, so the
-/// hot validity test `e(π_X) == e(π_{X∖{A}})` never rescans classes.
-struct Part {
-    partition: StrippedPartition,
-    error: usize,
-}
-
-impl Part {
-    fn new(partition: StrippedPartition) -> Self {
-        let error = partition.error();
-        Part { partition, error }
-    }
-}
-
-struct Level {
-    /// Surviving sets, with partitions (for the next join) …
-    parts: FxHashMap<u64, Part>,
-    /// … and rhs⁺ candidate sets for *all* sets seen at this level
-    /// (kept even for pruned sets; the key-pruning step reads them).
-    cplus: FxHashMap<u64, AttrSet>,
-}
-
 /// Mines all minimal non-trivial FDs of `rel` with TANE.
 ///
 /// Builds a transient [`AnalysisCtx`]; callers analyzing the same
@@ -86,68 +60,58 @@ pub fn mine_tane(rel: &Relation, options: TaneOptions) -> Vec<Fd> {
 /// As [`mine_tane`], seeding level 1 from the context's memoized
 /// single-attribute partitions instead of rebuilding them.
 pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
-    let m = ctx.n_attrs();
-    let r = ctx.all_attrs();
-    let threads = options.threads;
-    let mut out: Vec<Fd> = Vec::new();
-    // Persistent single-attribute partitions (level 1 + key pruning),
-    // cloned out of the shared view cache so the lattice walk keeps
-    // owning its own copies.
-    let attr_parts: Vec<StrippedPartition> = ctx
-        .attr_partitions_with(threads)
-        .into_iter()
-        .cloned()
-        .collect();
-
-    // Level 0: the empty set.
-    let mut prev = Level {
-        parts: std::iter::once((
-            AttrSet::EMPTY.bits(),
-            Part::new(StrippedPartition::of_empty(ctx.n_tuples())),
-        ))
-        .collect(),
-        cplus: std::iter::once((AttrSet::EMPTY.bits(), r)).collect(),
+    let lattice = Lattice::seed(ctx, options.threads);
+    let mut tane = Tane {
+        // Level 0: C⁺(∅) = R.
+        cplus: std::iter::once((AttrSet::EMPTY.bits(), ctx.all_attrs())).collect(),
+        out: Vec::new(),
+        scratch: PartitionScratch::new(),
     };
-    // Level 1 candidates: all single attributes.
-    let mut current_sets: Vec<AttrSet> = (0..m).map(AttrSet::single).collect();
-    let mut current_parts: FxHashMap<u64, Part> = (0..m)
-        .map(|a| (AttrSet::single(a).bits(), Part::new(attr_parts[a].clone())))
-        .collect();
-    let mut level = 1usize;
-    let mut prune_scratch = PartitionScratch::new();
-
     let _span = dbmine_telemetry::span("tane.run");
-    while !current_sets.is_empty() {
-        dbmine_telemetry::counter_add(
-            dbmine_telemetry::Counter::TaneLatticeNodes,
-            current_sets.len() as u64,
-        );
-        // COMPUTE_DEPENDENCIES: each set's candidate-rhs narrowing and
-        // validity tests read only the previous level, so the sets fan
-        // out in parallel; the serial merge below keeps emission order
-        // (and therefore the whole run) independent of the chunking.
-        let compute_span = dbmine_telemetry::span("tane.compute_dependencies");
-        let computed: Vec<(AttrSet, Vec<Fd>)> = par_map(threads, &current_sets, |_, &x| {
+    lattice.walk(options.max_lhs, &mut tane);
+    normalize_fds(tane.out)
+}
+
+/// TANE's part of the walk: the C⁺ (rhs⁺-candidate) compute step and
+/// key pruning.
+struct Tane {
+    /// C⁺ of *every* set of the last visited level (kept even for
+    /// pruned sets; the next compute step reads them).
+    cplus: FxHashMap<u64, AttrSet>,
+    out: Vec<Fd>,
+    scratch: PartitionScratch,
+}
+
+impl Walker for Tane {
+    const GENERATE_SPAN: Option<&'static str> = Some("tane.generate_next_level");
+
+    /// COMPUTE_DEPENDENCIES: each set's candidate-rhs narrowing and
+    /// validity tests read only the previous level, so the sets fan out
+    /// in parallel; the serial merge keeps emission order (and therefore
+    /// the whole run) independent of the chunking.
+    fn visit(&mut self, lattice: &Lattice) {
+        let _span = dbmine_telemetry::span("tane.compute_dependencies");
+        let r: AttrSet = (0..lattice.attrs.len()).collect();
+        let prev_cplus = &self.cplus;
+        let computed: Vec<(AttrSet, Vec<Fd>)> = par_map(lattice.threads, &lattice.sets, |_, &x| {
             // C+(X) = ∩_{A∈X} C+(X∖{A}).
-            let mut cp = r;
-            for a in x.iter() {
-                match prev.cplus.get(&x.without(a).bits()) {
-                    Some(&c) => cp = cp.intersect(c),
-                    None => {
-                        cp = AttrSet::EMPTY;
-                        break;
-                    }
-                }
-            }
-            let px_error = current_parts[&x.bits()].error;
+            let mut cp = x
+                .iter()
+                .try_fold(r, |cp, a| {
+                    prev_cplus
+                        .get(&x.without(a).bits())
+                        .map(|&c| cp.intersect(c))
+                })
+                .unwrap_or(AttrSet::EMPTY);
+            let px_error = lattice.part(x).error;
             let mut fds = Vec::new();
             for a in x.intersect(cp).iter() {
                 let parent = x.without(a);
-                let valid = match prev.parts.get(&parent.bits()) {
-                    Some(pp) => pp.error == px_error,
-                    None => false, // parent pruned ⇒ a smaller FD exists
-                };
-                if valid {
+                // A pruned parent means a smaller FD exists.
+                if lattice
+                    .prev_part(parent)
+                    .is_some_and(|pp| pp.error == px_error)
+                {
                     fds.push(Fd::new(parent, a));
                     cp = cp.without(a);
                     cp = cp.minus(r.minus(x));
@@ -155,153 +119,48 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
             }
             (cp, fds)
         });
-        let mut cplus: FxHashMap<u64, AttrSet> =
-            FxHashMap::with_capacity_and_hasher(current_sets.len(), Default::default());
-        for (x, (cp, fds)) in current_sets.iter().zip(&computed) {
-            out.extend(fds.iter().copied());
-            cplus.insert(x.bits(), *cp);
+        self.cplus.clear();
+        for (x, (cp, fds)) in lattice.sets.iter().zip(computed) {
+            self.out.extend(fds);
+            self.cplus.insert(x.bits(), cp);
         }
-        drop(compute_span);
-
-        // Bounded search: level ℓ's COMPUTE step emits LHSs of size ℓ-1,
-        // so after computing level max_lhs+1 we are done.
-        if options.max_lhs.is_some_and(|max| level > max) {
-            break;
-        }
-
-        // PRUNE (serial: keys are rare). The level-local cache
-        // memoizes subset partitions so each is built once per level,
-        // not once per (subset, rhs) pair.
-        let prune_span = dbmine_telemetry::span("tane.prune");
-        let mut pruned: Vec<u64> = Vec::new();
-        let mut key_cache: FxHashMap<u64, Part> = FxHashMap::default();
-        for &x in &current_sets {
-            let cp = cplus[&x.bits()];
-            if cp.is_empty() {
-                pruned.push(x.bits());
-                continue;
-            }
-            if current_parts[&x.bits()].partition.is_key() {
-                // X is a key: X → A is valid for every A. Emit the minimal
-                // ones — those where no (X∖{B}) → A holds. The sets
-                // X∪{A}∖{B} the original C⁺ test consults may never have
-                // been generated, so we verify minimality directly on
-                // partitions (keys are rare enough for this to be cheap).
-                for a in cp.minus(x).iter() {
-                    let minimal = x.iter().all(|b| {
-                        let sub = x.without(b);
-                        let e_sub = cached_error(
-                            sub,
-                            &attr_parts,
-                            ctx.n_tuples(),
-                            &prev.parts,
-                            &current_parts,
-                            &mut key_cache,
-                            &mut prune_scratch,
-                        );
-                        let e_sub_a = cached_error(
-                            sub.with(a),
-                            &attr_parts,
-                            ctx.n_tuples(),
-                            &prev.parts,
-                            &current_parts,
-                            &mut key_cache,
-                            &mut prune_scratch,
-                        );
-                        e_sub != e_sub_a
-                    });
-                    if minimal {
-                        out.push(Fd::new(x, a));
-                    }
-                }
-                pruned.push(x.bits());
-            }
-        }
-        let pruned_set: FxHashSet<u64> = pruned.into_iter().collect();
-        let survivors: Vec<AttrSet> = current_sets
-            .iter()
-            .copied()
-            .filter(|x| !pruned_set.contains(&x.bits()))
-            .collect();
-        drop(prune_span);
-
-        // GENERATE_NEXT_LEVEL: prefix join over survivors. Candidates
-        // are enumerated serially in survivor order (deterministic —
-        // the old map-iteration order leaked the hasher), then their
-        // partition products fan out with one scratch per worker.
-        let generate_span = dbmine_telemetry::span("tane.generate_next_level");
-        let survivor_bits: FxHashSet<u64> = survivors.iter().map(|s| s.bits()).collect();
-        let mut block_index: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut blocks: Vec<Vec<AttrSet>> = Vec::new();
-        for &s in &survivors {
-            let max_attr = s.iter().last().expect("non-empty set");
-            let idx = *block_index
-                .entry(s.without(max_attr).bits())
-                .or_insert_with(|| {
-                    blocks.push(Vec::new());
-                    blocks.len() - 1
-                });
-            blocks[idx].push(s);
-        }
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        let mut candidates: Vec<(AttrSet, u64, u64)> = Vec::new();
-        for group in &blocks {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let x = group[i].union(group[j]);
-                    // All |X|-1-subsets must have survived.
-                    if !x
-                        .iter()
-                        .all(|a| survivor_bits.contains(&x.without(a).bits()))
-                    {
-                        continue;
-                    }
-                    if seen.insert(x.bits()) {
-                        candidates.push((x, group[i].bits(), group[j].bits()));
-                    }
-                }
-            }
-        }
-        let products: Vec<Part> = par_map_init(
-            threads,
-            &candidates,
-            PartitionScratch::new,
-            |scratch, _, &(_, left, right)| {
-                Part::new(
-                    current_parts[&left]
-                        .partition
-                        .product_with(&current_parts[&right].partition, scratch),
-                )
-            },
-        );
-        let mut next_sets: Vec<AttrSet> = Vec::with_capacity(candidates.len());
-        let mut next_parts: FxHashMap<u64, Part> =
-            FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
-        for (&(x, _, _), part) in candidates.iter().zip(products) {
-            next_parts.insert(x.bits(), part);
-            next_sets.push(x);
-        }
-
-        // Shift levels: keep partitions only for survivors (join parents),
-        // but cplus for everything at this level.
-        let mut survivor_parts =
-            FxHashMap::with_capacity_and_hasher(survivors.len(), Default::default());
-        for &s in &survivors {
-            if let Some(p) = current_parts.remove(&s.bits()) {
-                survivor_parts.insert(s.bits(), p);
-            }
-        }
-        prev = Level {
-            parts: survivor_parts,
-            cplus,
-        };
-        current_sets = next_sets;
-        current_parts = next_parts;
-        level += 1;
-        drop(generate_span);
     }
 
-    normalize_fds(out)
+    /// PRUNE (serial: keys are rare). The level-local cache memoizes
+    /// subset partitions so each is built once per level, not once per
+    /// (subset, rhs) pair.
+    fn survivors(&mut self, lattice: &Lattice) -> Vec<AttrSet> {
+        let _span = dbmine_telemetry::span("tane.prune");
+        let mut key_cache: FxHashMap<u64, Part> = FxHashMap::default();
+        let mut survivors = Vec::with_capacity(lattice.sets.len());
+        for &x in &lattice.sets {
+            let cp = self.cplus[&x.bits()];
+            if cp.is_empty() {
+                continue;
+            }
+            if !lattice.part(x).partition.is_key() {
+                survivors.push(x);
+                continue;
+            }
+            // X is a key: X → A is valid for every A. Emit the minimal
+            // ones — those where no (X∖{B}) → A holds. The sets
+            // X∪{A}∖{B} the original C⁺ test consults may never have
+            // been generated, so we verify minimality directly on
+            // partitions (keys are rare enough for this to be cheap).
+            for a in cp.minus(x).iter() {
+                let minimal = x.iter().all(|b| {
+                    let sub = x.without(b);
+                    let mut error =
+                        |set| cached_error(set, lattice, &mut key_cache, &mut self.scratch);
+                    error(sub) != error(sub.with(a))
+                });
+                if minimal {
+                    self.out.push(Fd::new(x, a));
+                }
+            }
+        }
+        survivors
+    }
 }
 
 /// The TANE error of `π_set`, served from (in order) the previous
@@ -309,55 +168,30 @@ pub fn mine_tane_ctx(ctx: &AnalysisCtx, options: TaneOptions) -> Vec<Fd> {
 /// cache misses materialize the partition by extending the partition of
 /// `set ∖ {max attr}` with one scratch-reused product, so a subset is
 /// built at most once per level.
-#[allow(clippy::too_many_arguments)]
 fn cached_error(
     set: AttrSet,
-    attr_parts: &[StrippedPartition],
-    n: usize,
-    prev_parts: &FxHashMap<u64, Part>,
-    current_parts: &FxHashMap<u64, Part>,
+    lattice: &Lattice,
     cache: &mut FxHashMap<u64, Part>,
     scratch: &mut PartitionScratch,
 ) -> usize {
-    if let Some(p) = prev_parts.get(&set.bits()) {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error;
-    }
-    if let Some(p) = current_parts.get(&set.bits()) {
-        dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
-        return p.error;
-    }
-    if let Some(p) = cache.get(&set.bits()) {
+    if let Some(p) = lattice.find(set).or_else(|| cache.get(&set.bits())) {
         dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheHits, 1);
         return p.error;
     }
     dbmine_telemetry::counter_add(dbmine_telemetry::Counter::TanePruneCacheMisses, 1);
-    let partition = match set.len() {
-        0 => StrippedPartition::of_empty(n),
-        1 => attr_parts[set.iter().next().expect("non-empty")].clone(),
-        _ => {
-            let last = set.iter().last().expect("non-empty");
-            let prefix = set.without(last);
-            // Materialize the prefix (recursion depth ≤ |set|) …
-            cached_error(
-                prefix,
-                attr_parts,
-                n,
-                prev_parts,
-                current_parts,
-                cache,
-                scratch,
-            );
-            // … then extend it by one product.
-            let prefix_part = prev_parts
-                .get(&prefix.bits())
-                .or_else(|| current_parts.get(&prefix.bits()))
-                .or_else(|| cache.get(&prefix.bits()))
-                .expect("prefix just materialized");
-            prefix_part
-                .partition
-                .product_with(&attr_parts[last], scratch)
-        }
+    // ∅ is only asked for at level 1, where it is the previous level.
+    let last = set.iter().last().expect("∅ is always cached");
+    let prefix = set.without(last);
+    let partition = if prefix.is_empty() {
+        lattice.attrs[last].clone()
+    } else {
+        // Materialize the prefix (recursion depth ≤ |set|) …
+        cached_error(prefix, lattice, cache, scratch);
+        // … then extend it by one product.
+        (lattice.find(prefix).or_else(|| cache.get(&prefix.bits())))
+            .expect("prefix just materialized")
+            .partition
+            .product_with(lattice.attrs[last], scratch)
     };
     let part = Part::new(partition);
     let error = part.error;

@@ -2,11 +2,12 @@
 //! brute-force oracle on arbitrary relations, covers must preserve
 //! implication, and hitting sets must hit.
 
+use dbmine_context::AnalysisCtx;
 use dbmine_fdmine::brute::mine_brute;
 use dbmine_fdmine::cover::{closure, implies, minimum_cover};
 use dbmine_fdmine::fdep::minimal_hitting_sets;
 use dbmine_fdmine::{
-    fd_error_g3, fd_holds, mine_approximate_with, mine_fdep, mine_tane, Fd, PartitionScratch,
+    fd_error_g3, fd_holds, mine_approximate_ctx, mine_fdep, mine_tane, Fd, PartitionScratch,
     StrippedPartition, TaneOptions,
 };
 use dbmine_relation::{AttrSet, Relation, RelationBuilder};
@@ -170,9 +171,9 @@ proptest! {
 
     #[test]
     fn approximate_is_invariant_across_thread_counts(rel in arb_relation()) {
-        let serial = mine_approximate_with(&rel, 0.2, None, 1);
+        let serial = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.2, None, 1);
         for threads in [0usize, 2, 4] {
-            let t = mine_approximate_with(&rel, 0.2, None, threads);
+            let t = mine_approximate_ctx(&AnalysisCtx::of(&rel), 0.2, None, threads);
             // ApproxFd carries an f64 error: require exact equality —
             // the determinism contract is bit-identical output.
             prop_assert_eq!(t.len(), serial.len(), "threads = {}", threads);

@@ -6,23 +6,30 @@ use dbmine::server::{parse, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
+/// The shared demo CSV, written once per test binary: every test reads
+/// the same file, so rewriting it per test would let a child process
+/// read it half-written while a sibling test truncates it.
 fn write_demo_csv() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbmined_proto_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.csv");
-    let mut f = std::fs::File::create(&path).unwrap();
-    writeln!(f, "Name,City,Zip").unwrap();
-    for (n, c, z) in [
-        ("Pat", "Boston", "02139"),
-        ("Sal", "Boston", "02139"),
-        ("Kim", "Boston", "02139"),
-        ("Kim", "Boston", "02139"),
-        ("Ana", "Toronto", "M5S1A1"),
-        ("Lee", "Toronto", "M5S1A1"),
-    ] {
-        writeln!(f, "{n},{c},{z}").unwrap();
-    }
-    path
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("dbmined_proto_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("demo.csv");
+        let mut f = std::fs::File::create(&path).unwrap();
+        writeln!(f, "Name,City,Zip").unwrap();
+        for (n, c, z) in [
+            ("Pat", "Boston", "02139"),
+            ("Sal", "Boston", "02139"),
+            ("Kim", "Boston", "02139"),
+            ("Kim", "Boston", "02139"),
+            ("Ana", "Toronto", "M5S1A1"),
+            ("Lee", "Toronto", "M5S1A1"),
+        ] {
+            writeln!(f, "{n},{c},{z}").unwrap();
+        }
+        path
+    })
+    .clone()
 }
 
 /// A live `dbmined --stdio` child with line-oriented request/response.
@@ -175,6 +182,10 @@ fn malformed_requests_error_and_daemon_keeps_serving() {
         (
             "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"approx\":-1}",
             "`approx` must be ≥ 0",
+        ),
+        (
+            "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"approx\":1.0}",
+            "`approx` must be ≥ 0 and < 1",
         ),
         (
             "{\"cmd\":\"fds\",\"csv\":\"A\\nx\\n\",\"max_lhs\":1.5}",

@@ -4,23 +4,30 @@
 use std::io::Write;
 use std::process::Command;
 
+/// The shared demo CSV, written once per test binary: every test reads
+/// the same file, so rewriting it per test would let a child process
+/// read it half-written while a sibling test truncates it.
 fn write_demo_csv() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbmine_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.csv");
-    let mut f = std::fs::File::create(&path).unwrap();
-    writeln!(f, "Name,City,Zip").unwrap();
-    for (n, c, z) in [
-        ("Pat", "Boston", "02139"),
-        ("Sal", "Boston", "02139"),
-        ("Kim", "Boston", "02139"),
-        ("Kim", "Boston", "02139"), // exact duplicate
-        ("Ana", "Toronto", "M5S1A1"),
-        ("Lee", "Toronto", "M5S1A1"),
-    ] {
-        writeln!(f, "{n},{c},{z}").unwrap();
-    }
-    path
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("dbmine_cli_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("demo.csv");
+        let mut f = std::fs::File::create(&path).unwrap();
+        writeln!(f, "Name,City,Zip").unwrap();
+        for (n, c, z) in [
+            ("Pat", "Boston", "02139"),
+            ("Sal", "Boston", "02139"),
+            ("Kim", "Boston", "02139"),
+            ("Kim", "Boston", "02139"), // exact duplicate
+            ("Ana", "Toronto", "M5S1A1"),
+            ("Lee", "Toronto", "M5S1A1"),
+        ] {
+            writeln!(f, "{n},{c},{z}").unwrap();
+        }
+        path
+    })
+    .clone()
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -105,6 +112,23 @@ fn fds_rfi_mines_reliable_dependencies() {
         let (_, stderr, ok) = run(&[&["fds", csv.to_str().unwrap()][..], bad].concat());
         assert!(!ok);
         assert!(stderr.contains("invalid value"), "{stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_approx_is_a_typed_error() {
+    let csv = write_demo_csv();
+    for bad in ["1.0", "-0.5", "NaN"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbmine"))
+            .args(["fds", csv.to_str().unwrap(), "--approx", bad])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--approx {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: invalid value for --approx: `{bad}`")),
+            "{stderr}"
+        );
     }
 }
 

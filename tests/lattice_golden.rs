@@ -23,13 +23,15 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
 }
 
 /// Seeded random relations: 2–6 attributes, small domains and some
 /// NULL cells, so keys, constants and approximate FDs all occur.
 fn random_relations() -> Vec<Relation> {
-    let mut rng = StdRng::seed_from_u64(0x1a77_1ce);
+    let mut rng = StdRng::seed_from_u64(0x01a7_71ce);
     (0..30)
         .map(|i| {
             let m = rng.gen_range(2..=6);

@@ -3,7 +3,9 @@
 //!
 //! Counters are process-global, so this suite lives in its own
 //! integration-test binary (its own process) and serializes its tests
-//! on one mutex; deltas are taken while the lock is held. With the
+//! on one mutex. Each test holds the lock for its whole body, not just
+//! around the measured call: any pipeline work a test does outside it
+//! bumps the counters a sibling test is measuring. With the
 //! `telemetry` feature compiled out every delta is 0 and the tests
 //! assert exactly that, so the suite is meaningful in both CI legs.
 
@@ -18,12 +20,17 @@ use dbmine::summaries::{
     cluster_values_ctx, find_duplicate_tuples_ctx, tuple_summary_assignment_ctx,
 };
 use dbmine::telemetry::{self, Counter, CounterSnapshot};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static GUARD: Mutex<()> = Mutex::new(());
 
+/// Takes the suite-wide counter lock; hold it for the whole test.
+fn serial() -> MutexGuard<'static, ()> {
+    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Counter deltas across `f`; the caller holds [`serial`].
 fn with_deltas<R>(f: impl FnOnce() -> R) -> (R, CounterSnapshot) {
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let before = telemetry::snapshot();
     let r = f();
     let d = telemetry::snapshot().delta(&before);
@@ -47,6 +54,7 @@ fn singleton(support: &[(u32, f64)], weight: f64) -> Dcf {
 
 #[test]
 fn aib_on_four_values_performs_exactly_three_merges() {
+    let _serial = serial();
     // Agglomerating 4 objects down to k = 1 is exactly 3 pair merges,
     // each one `Dcf::merge_in_place` call; every heap pop that commits a
     // merge is one nearest-neighbor-cache hit.
@@ -65,6 +73,7 @@ fn aib_on_four_values_performs_exactly_three_merges() {
 
 #[test]
 fn tane_lattice_sizes_on_a_three_attribute_relation() {
+    let _serial = serial();
     // Hand-checked relation where no FD holds and no proper subset of
     // {A,B,C} is a key:
     //   level 1 visits {A},{B},{C}          → 3 lattice nodes
@@ -95,6 +104,7 @@ fn tane_lattice_sizes_on_a_three_attribute_relation() {
 
 #[test]
 fn fdrank_counts_figure4_redundant_cells() {
+    let _serial = serial();
     // Figure 4: under C → B, the three tuples sharing C = x all carry
     // B = 2; the first is the witness, the other two are redundant.
     let rel = figure4();
@@ -105,6 +115,7 @@ fn fdrank_counts_figure4_redundant_cells() {
 
 #[test]
 fn double_clustering_builds_the_value_index_exactly_once() {
+    let _serial = serial();
     // Regression: the Double Clustering path used to rebuild the
     // ValueIndex once per stage. Through one context the whole run
     // materializes exactly three views — TupleRows and I(T;V) for the
@@ -130,6 +141,7 @@ fn double_clustering_builds_the_value_index_exactly_once() {
 
 #[test]
 fn analyze_builds_each_shared_view_exactly_once() {
+    let _serial = serial();
     use dbmine::{FdMiner, MinerConfig, StructureMiner};
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
@@ -174,6 +186,7 @@ fn analyze_builds_each_shared_view_exactly_once() {
 
 #[test]
 fn sharded_phase1_counts_ingests_and_merges_exactly() {
+    let _serial = serial();
     let rel = figure4();
     let ctx = AnalysisCtx::of(&rel);
 
@@ -200,7 +213,7 @@ fn sharded_phase1_counts_ingests_and_merges_exactly() {
 #[test]
 fn collecting_spans_does_not_change_mining_output() {
     use dbmine::{MinerConfig, StructureMiner};
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = serial();
     let rel = figure4();
     let miner = StructureMiner::new(MinerConfig::default());
     let quiet = miner.analyze(&rel).render(&rel);
